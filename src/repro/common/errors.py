@@ -20,15 +20,23 @@ class TranslationFault(Exception):
     """Base class for faults raised mid-walk by the hardware walker.
 
     ``refs`` carries the memory references already performed by the walk
-    so the cost model can charge partial walks that end in a fault.
+    so the cost model can charge partial walks that end in a fault. The
+    walkers add to it as a fault unwinds through the outer stages of a
+    walk, and most faults are handled without ever being printed, so the
+    message is formatted only when asked for, from the final ``refs``.
     """
 
     def __init__(self, va, refs=0, level=None, message=""):
+        super().__init__(va)
         self.va = va
         self.refs = refs
         self.level = level
-        detail = message or self.__class__.__name__
-        super().__init__("%s at va=%#x (level=%r, refs=%d)" % (detail, va, level, refs))
+        self.message = message
+
+    def __str__(self):
+        detail = self.message or self.__class__.__name__
+        return "%s at va=%#x (level=%r, refs=%d)" % (
+            detail, self.va, self.level, self.refs)
 
 
 class GuestPageFault(TranslationFault):

@@ -65,11 +65,19 @@ ONE_GB = PageSize("1G", 30, 3)
 PAGE_SIZES = {ps.name: ps for ps in (FOUR_KB, TWO_MB, ONE_GB)}
 
 
+#: Bit position of each level's index field within a VA, by level. The
+#: walk loops index this table directly instead of calling
+#: :func:`level_shift` once per memory reference.
+LEVEL_SHIFTS = {level: PAGE_SHIFT + LEVEL_BITS * (level - 1)
+                for level in range(LEAF_LEVEL, ROOT_LEVEL + 1)}
+INDEX_MASK = ENTRIES_PER_NODE - 1
+
+
 def level_shift(level):
     """Bit position of the index field for ``level`` within a VA."""
     if not LEAF_LEVEL <= level <= ROOT_LEVEL:
         raise ValueError("page table level out of range: %r" % (level,))
-    return PAGE_SHIFT + LEVEL_BITS * (level - 1)
+    return LEVEL_SHIFTS[level]
 
 
 @takes(va="addr")
@@ -79,7 +87,7 @@ def pt_index(va, level):
 
     Mirrors the ``index(VA, i)`` helper in the paper's Figure 2 pseudocode.
     """
-    return (va >> level_shift(level)) & (ENTRIES_PER_NODE - 1)
+    return (va >> level_shift(level)) & INDEX_MASK
 
 
 @takes(va="addr")

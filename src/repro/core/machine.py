@@ -6,6 +6,8 @@ models hardware re-executing a faulting access after the OS/VMM resolves
 the fault. It is the object workloads talk to.
 """
 
+from itertools import repeat
+
 from repro.common.clock import Clock
 from repro.common.config import CORE_FASTPATH, CORE_REFERENCE, MODE_NATIVE, VALID_CORES
 from repro.common.errors import (
@@ -226,6 +228,113 @@ class System(GuestPlatform):
             "translation livelock at va=%#x (pid %d, mode %s)"
             % (va, proc.pid, self.config.mode)
         )
+
+    @advances("guest_sim")
+    @charges("ideal_cycles", "tlb_l2_cycles", "sink:tlb_l1_hit")
+    def access_many(self, vas, writes=None):
+        """Retire the data accesses ``vas`` in order (``writes[i]`` true
+        marks a write; None means all reads).
+
+        Observably identical to ``self.access(va, w)`` for each pair —
+        counters, TLB stats and LRU order, clock, policy epochs, fault
+        handling — in one call. Clean L1 hits and clean L2 hits (with
+        their L1 promotion) are retired inline on the reference TLB's
+        sets; their bookkeeping collects in locals that are settled
+        before every fallback and at the end. An op falls back to
+        :meth:`access` on a TLB miss or write upgrade, and when it is
+        the op that completes a policy epoch. The whole batch falls back
+        when a tracer is attached (it records every hit), when the
+        config has more than one TLB granule, and on the fastpath core.
+
+        The inline probe has no side effect until a clean hit is
+        certain, so a fallback ``access`` redoes the op from scratch.
+        """
+        ops = zip(vas, writes if writes is not None else repeat(False))
+        hierarchy = self.mmu.hierarchy
+        proc = self.kernel.current
+        if (proc is None or self.tracer.enabled or len(hierarchy._order) != 1
+                or self.config.core != CORE_REFERENCE):
+            access = self.access
+            for va, is_write in ops:
+                access(va, is_write)
+            return
+        tlbs = hierarchy.hierarchies[hierarchy._order[0]]
+        l1, l2 = tlbs.l1d, tlbs.l2
+        page_shift = l1.page_shift
+        l1_sets, l1_nsets, l1_ways = l1._sets, l1.num_sets, l1.ways
+        l2_sets = l2._sets if l2 is not None else None
+        l2_nsets = l2.num_sets if l2 is not None else None
+        # An op may retire inline only if it leaves the epoch unfinished.
+        epoch_last = POLICY_EPOCH_OPS - 1
+        asid = self._ctx_for(proc).asid
+        epoch_ops = self._epoch_ops
+        l1_hits = l2_hits = evictions = write_hits = 0
+        for va, is_write in ops:
+            vpn = va >> page_shift
+            key = (asid, vpn)
+            entries = l1_sets[vpn % l1_nsets]
+            entry = entries.get(key)
+            if epoch_ops < epoch_last:
+                if entry is not None:
+                    if not is_write or (entry.writable and entry.dirty):
+                        entries.move_to_end(key)
+                        l1_hits += 1
+                        epoch_ops += 1
+                        if is_write:
+                            write_hits += 1
+                        continue
+                elif l2 is not None:
+                    entries2 = l2_sets[vpn % l2_nsets]
+                    entry = entries2.get(key)
+                    if entry is not None and (
+                            not is_write or (entry.writable and entry.dirty)):
+                        entries2.move_to_end(key)
+                        if len(entries) >= l1_ways:
+                            entries.popitem(last=False)
+                            evictions += 1
+                        entries[key] = entry
+                        l2_hits += 1
+                        epoch_ops += 1
+                        if is_write:
+                            write_hits += 1
+                        continue
+            if l1_hits or l2_hits:
+                self._retire_hits(l1, l2, l1_hits, l2_hits, evictions, write_hits)
+                l1_hits = l2_hits = evictions = write_hits = 0
+            self._epoch_ops = epoch_ops
+            self.access(va, is_write)
+            # The fallback may have switched context or run a policy
+            # epoch; re-read what the inline loop depends on.
+            asid = self._ctx_for(self.kernel.current).asid
+            epoch_ops = self._epoch_ops
+        if l1_hits or l2_hits:
+            self._retire_hits(l1, l2, l1_hits, l2_hits, evictions, write_hits)
+        self._epoch_ops = epoch_ops
+
+    @advances("guest_sim")
+    @charges("ideal_cycles", "tlb_l2_cycles", "sink:tlb_l1_hit")
+    def _retire_hits(self, l1, l2, l1_hits, l2_hits, evictions, write_hits):
+        """Settle the accounting of inline-retired clean TLB hits, exactly
+        as the same hits through :meth:`access` would have."""
+        ops = l1_hits + l2_hits
+        self.ops += ops
+        self.writes += write_hits
+        self.reads += ops - write_hits
+        cost = self.cost
+        self.ideal_cycles += ops * cost.cycles_per_op
+        cycles = ops * cost.cycles_per_op + l1_hits * cost.cycles_tlb_l1_hit
+        l1.stats.hits += l1_hits
+        self.mmu.counters.tlb_hits_l1 += l1_hits
+        if l2_hits:
+            l2_cycles = l2_hits * cost.cycles_tlb_l2_hit
+            cycles += l2_cycles
+            self.tlb_l2_cycles += l2_cycles
+            l1.stats.misses += l2_hits
+            l1.stats.fills += l2_hits
+            l1.stats.evictions += evictions
+            l2.stats.hits += l2_hits
+            self.mmu.counters.tlb_hits_l2 += l2_hits
+        self.clock.advance(cycles)
 
     def read(self, va):
         return self.access(va, is_write=False)

@@ -26,6 +26,13 @@ class MachineAPI:
     def access(self, va, is_write):
         return self.system.access(va, is_write=is_write)
 
+    def access_many(self, vas, writes=None):
+        """Issue ``vas`` in order; ``writes[i]`` true marks a write.
+
+        The batched form of :meth:`access` (see ``System.access_many``).
+        """
+        self.system.access_many(vas, writes)
+
     # -- "syscalls" -------------------------------------------------------------
 
     @property

@@ -12,7 +12,7 @@ used by native and nested walks.
 from collections import OrderedDict
 
 from repro.common.addrspace import takes
-from repro.common.params import ROOT_LEVEL, level_shift
+from repro.common.params import LEVEL_SHIFTS, ROOT_LEVEL
 
 # What the cached pointer points at / which mode the walk continues in.
 PWC_NATIVE = "native"  # node of a native page table (also used for sPT-as-1D)
@@ -38,6 +38,11 @@ class PageWalkCache:
     """
 
     MAX_SKIP = 3  # never skips the leaf level
+    # Tag shift per depth: the VA bits above the index field of the last
+    # level a depth-k entry lets the walk skip. Probes run deepest first.
+    TAG_SHIFTS = {depth: LEVEL_SHIFTS[ROOT_LEVEL - depth + 1]
+                  for depth in range(1, MAX_SKIP + 1)}
+    PROBE_ORDER = tuple(sorted(TAG_SHIFTS.items(), reverse=True))
 
     def __init__(self, entries_per_table=32, enabled=True):
         self.enabled = enabled
@@ -46,12 +51,11 @@ class PageWalkCache:
         self._tables = {k: OrderedDict() for k in range(1, self.MAX_SKIP + 1)}
         self.stats = PWCStats()
 
-    @staticmethod
+    @classmethod
     @takes(va="addr")
-    def _tag(asid, va, depth):
-        # The top `depth` radix indices: the VA bits above the index
-        # field of the last level the cached entry lets the walk skip.
-        return asid, va >> level_shift(ROOT_LEVEL - depth + 1)
+    def _tag(cls, asid, va, depth):
+        # The top `depth` radix indices of the VA.
+        return asid, va >> cls.TAG_SHIFTS[depth]
 
     @takes(va="addr")
     def lookup(self, asid, va):
@@ -63,9 +67,10 @@ class PageWalkCache:
         """
         if not self.enabled:
             return None
-        for depth in range(self.MAX_SKIP, 0, -1):
-            table = self._tables[depth]
-            key = self._tag(asid, va, depth)
+        tables = self._tables
+        for depth, shift in self.PROBE_ORDER:
+            table = tables[depth]
+            key = (asid, va >> shift)
             hit = table.get(key)
             if hit is not None:
                 table.move_to_end(key)

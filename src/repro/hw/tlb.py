@@ -94,13 +94,17 @@ class TLB:
 
     def insert(self, entry):
         """Install ``entry``, evicting the set's LRU victim if full."""
-        entries = self._set_for(entry.vpn)
-        key = (entry.asid, entry.vpn)
-        if key not in entries and len(entries) >= self.ways:
-            entries.popitem(last=False)
-            self.stats.evictions += 1
-        entries[key] = entry
-        entries.move_to_end(key)
+        vpn = entry.vpn
+        entries = self._sets[vpn % self.num_sets]
+        key = (entry.asid, vpn)
+        if key in entries:
+            entries[key] = entry
+            entries.move_to_end(key)
+        else:
+            if len(entries) >= self.ways:
+                entries.popitem(last=False)
+                self.stats.evictions += 1
+            entries[key] = entry
         self.stats.fills += 1
         return entry
 

@@ -58,14 +58,8 @@ class TLBHierarchy:
     @takes(va="gva", frame="hfn")
     def fill(self, asid, va, frame, writable, dirty, kind="data"):
         """Install a fresh translation into L1 (+L2)."""
-        entry = TLBEntry(
-            asid=asid,
-            vpn=va >> self.page_size.shift,
-            frame=frame,
-            page_shift=self.page_size.shift,
-            writable=writable,
-            dirty=dirty,
-        )
+        shift = self.page_size.shift
+        entry = TLBEntry(asid, va >> shift, frame, shift, writable, dirty)
         self._l1_for(kind).insert(entry)
         if self.l2 is not None:
             self.l2.insert(entry)
@@ -148,6 +142,8 @@ class MultiSizeTLB:
         # Probe order: the run's dominant granule first.
         self._order = sorted(self.hierarchies,
                              key=lambda s: (s != primary.shift, s))
+        # With a single granule every fill lands in its one hierarchy.
+        self._only_shift = self._order[0] if len(self._order) == 1 else None
 
     @takes(va="gva")
     def lookup(self, asid, va, kind="data"):
@@ -160,8 +156,10 @@ class MultiSizeTLB:
     @takes(va="gva", frame="hfn")
     def fill(self, asid, va, frame, writable, dirty, page_shift, kind="data"):
         """Install at the largest supported granule <= ``page_shift``."""
-        candidates = [s for s in self.hierarchies if s <= page_shift]
-        shift = max(candidates) if candidates else min(self.hierarchies)
+        shift = self._only_shift
+        if shift is None:
+            candidates = [s for s in self.hierarchies if s <= page_shift]
+            shift = max(candidates) if candidates else min(self.hierarchies)
         if shift != page_shift:
             # Break the translation down to the structure's granule.
             frame_4k = frame + ((va & ((1 << page_shift) - 1)) >> 12)

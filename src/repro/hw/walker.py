@@ -1,10 +1,11 @@
 """Hardware page-walk state machines.
 
-This module is a function-for-function port of the paper's pseudocode:
+This module ports the paper's pseudocode:
 
 * ``host_walk``      — Figure 2(a): the base native / host 1D walk,
-* ``_nested_pt_access`` — Figure 2(e): one guest-PT access plus the host
-  walk that translates the gPA it produces,
+* ``_nested_levels`` — one iteration per guest level is Figure 2(e)'s
+  nested page-table access: one guest-PT read plus the host walk that
+  translates the gPA it produces,
 * ``nested_walk``    — Figure 2(b),
 * ``shadow_walk``    — Figure 2(c): a 1D walk over the shadow table,
 * ``agile_walk``     — Figure 4: starts in shadow mode and switches to
@@ -27,12 +28,7 @@ from repro.common.errors import (
     ShadowProtectionFault,
     SimulationError,
 )
-from repro.common.params import (
-    LEAF_LEVEL,
-    ROOT_LEVEL,
-    level_shift,
-    pt_index,
-)
+from repro.common.params import INDEX_MASK, LEAF_LEVEL, LEVEL_SHIFTS, ROOT_LEVEL
 from repro.hw.pwc import PWC_GUEST, PWC_NATIVE, PWC_SHADOW
 from repro.hw.walkstats import NESTED_FULL, WalkResult
 from repro.obs.metrics import NULL_METRICS
@@ -43,7 +39,7 @@ from repro.obs.tracer import NULL_TRACER
 @returns("frame")
 def _frame_4k(pte, addr, level):
     """The exact 4 KB frame backing ``addr`` given a leaf at ``level``."""
-    span_frames = 1 << (level_shift(level) - 12)
+    span_frames = 1 << (LEVEL_SHIFTS[level] - 12)
     return pte.frame + ((addr >> 12) & (span_frames - 1))
 
 
@@ -54,6 +50,12 @@ def _entry_base(frame_4k, va, eff_shift):
     return frame_4k - ((va >> 12) & ((1 << (eff_shift - 12)) - 1))
 
 
+@takes(frame="frame")
+def _empty_frame(what, frame):
+    """The error for a walk that followed a pointer to an empty frame."""
+    return SimulationError("%s walk reached empty frame %d" % (what, frame))
+
+
 class PageWalker:
     """The MMU's page-walk engine.
 
@@ -62,6 +64,12 @@ class PageWalker:
     are optional acceleration structures. Setting :attr:`journal` to a
     list makes every memory reference append a ``(structure, level)``
     tuple, reproducing the chronological orders of Figures 1 and 3.
+
+    The walk loops read page-table nodes straight out of the physical
+    memories' frame stores and index each level through
+    :data:`~repro.common.params.LEVEL_SHIFTS`. Whether a walk must
+    journal its references or classify them against the PTE data cache
+    is decided once per walk, not once per reference.
 
     Time accounting: the walker never advances a clock. It *counts*
     memory references in its :class:`~repro.hw.walkstats.WalkResult`,
@@ -97,26 +105,18 @@ class PageWalker:
 
     # -- low-level helpers -------------------------------------------------
 
-    def _note(self, structure, level):
+    @takes(frame="frame")
+    def _reference(self, structure, space, frame, level, index):
+        """Journal one walk reference and classify it against the PTE
+        data cache. Walks call this only when one of the two is on."""
         if self.journal is not None:
             self.journal.append((structure, level))
+        if self.pte_cache is not None and self.pte_cache.access(space, frame, index):
+            self.cached_refs += 1
 
     def _probe(self, structure, hit):
         """Trace one walk-accelerator probe (called only when tracing)."""
         self.tracer.pwc(self.clock.now if self.clock else 0, structure, hit)
-
-    @takes(frame="frame")
-    def _touch(self, space, frame, index):
-        """Classify one walk reference against the PTE data cache."""
-        if self.pte_cache is not None and self.pte_cache.access(space, frame, index):
-            self.cached_refs += 1
-
-    @takes(frame="frame")
-    def _node(self, mem, frame, what):
-        node = mem.read(frame)
-        if node is None:
-            raise SimulationError("%s walk reached empty frame %d" % (what, frame))
-        return node
 
     # -- Figure 2(a): 1D host / native walk ---------------------------------
 
@@ -130,23 +130,31 @@ class PageWalker:
         with nested paging a fault in the host table is a VM exit
         (Figure 2(b) comment).
         """
-        refs = 0
-        node = self._node(self.host_mem, hptr, structure)
+        frames = self.host_mem._frames
+        node = frames.get(hptr)
+        if node is None:
+            raise _empty_frame(structure, hptr)
         start_level = ROOT_LEVEL
         pwc_fills = []
-        if self.host_pwc is not None:
-            hit = self.host_pwc.lookup(0, addr)
+        host_pwc = self.host_pwc
+        if host_pwc is not None:
+            hit = host_pwc.lookup(0, addr)
             if self.tracer.enabled:
                 self._probe("host_pwc", hit is not None)
             if hit is not None:
                 skipped, frame, _mode = hit
-                node = self._node(self.host_mem, frame, structure)
+                node = frames.get(frame)
+                if node is None:
+                    raise _empty_frame(structure, frame)
                 start_level = ROOT_LEVEL - skipped
+        tracked = self.journal is not None or self.pte_cache is not None
+        refs = 0
         for level in range(start_level, LEAF_LEVEL - 1, -1):
             refs += 1
-            self._note(structure, level)
-            self._touch("host", node.frame, pt_index(addr, level))
-            pte = node.get(pt_index(addr, level))
+            index = (addr >> LEVEL_SHIFTS[level]) & INDEX_MASK
+            if tracked:
+                self._reference(structure, "host", node.frame, level, index)
+            pte = node.entries.get(index)
             if pte is None or not pte.present:
                 raise HostPageFault(va if va is not None else addr, gpa=addr,
                                     refs=refs, level=level, is_write=is_write)
@@ -157,19 +165,23 @@ class PageWalker:
                         raise HostPageFault(va if va is not None else addr, gpa=addr,
                                             refs=refs, level=level, is_write=True)
                     pte.dirty = True
-                if self.host_pwc is not None:
+                if host_pwc is not None:
                     for depth, frame, mode in pwc_fills:
-                        self.host_pwc.insert(0, addr, depth, frame, mode)
+                        host_pwc.insert(0, addr, depth, frame, mode)
                 return _frame_4k(pte, addr, level), level, pte, refs
-            node = self._node(self.host_mem, pte.frame, structure)
+            node = frames.get(pte.frame)
+            if node is None:
+                raise _empty_frame(structure, pte.frame)
             pwc_fills.append((ROOT_LEVEL - (level - 1), node.frame, PWC_NATIVE))
         raise SimulationError("host walk fell off the table")  # pragma: no cover
 
     @takes(va="gva")
     def native_walk(self, va, ctx, is_write=False):
         """Base-native translation: a single 1D walk (Figure 1(a))."""
-        refs = 0
-        node = self._node(self.host_mem, ctx.root_frame, "PT")
+        frames = self.host_mem._frames
+        node = frames.get(ctx.root_frame)
+        if node is None:
+            raise _empty_frame("PT", ctx.root_frame)
         start_level = ROOT_LEVEL
         pwc_fills = []
         if self.pwc is not None:
@@ -178,13 +190,19 @@ class PageWalker:
                 self._probe("pwc", hit is not None)
             if hit is not None:
                 skipped, frame, _mode = hit
-                node = self._node(self.host_mem, frame, "PT")
+                node = frames.get(frame)
+                if node is None:
+                    raise _empty_frame("PT", frame)
                 start_level = ROOT_LEVEL - skipped
+        tracked = self.journal is not None or self.pte_cache is not None
+        refs = 0
         for level in range(start_level, LEAF_LEVEL - 1, -1):
             refs += 1
-            self._note("PT", level)
-            self._touch("host", node.frame, pt_index(va, level))
-            pte = node.get(pt_index(va, level))
+            shift = LEVEL_SHIFTS[level]
+            index = (va >> shift) & INDEX_MASK
+            if tracked:
+                self._reference("PT", "host", node.frame, level, index)
+            pte = node.entries.get(index)
             if pte is None or not pte.present:
                 raise GuestPageFault(va, refs=refs, level=level, is_write=is_write)
             pte.accessed = True
@@ -194,7 +212,6 @@ class PageWalker:
                                          is_write=True, protection=True)
                 if is_write:
                     pte.dirty = True
-                shift = level_shift(level)
                 frame_4k = _frame_4k(pte, va, level)
                 self._pwc_commit(ctx.asid, va, pwc_fills)
                 return WalkResult(
@@ -206,7 +223,9 @@ class PageWalker:
                     nested_levels=0,
                     mode="native",
                 )
-            node = self._node(self.host_mem, pte.frame, "PT")
+            node = frames.get(pte.frame)
+            if node is None:
+                raise _empty_frame("PT", pte.frame)
             pwc_fills.append((ROOT_LEVEL - (level - 1), node.frame, PWC_NATIVE))
         raise SimulationError("native walk fell off the table")  # pragma: no cover
 
@@ -216,7 +235,7 @@ class PageWalker:
         for depth, frame, mode in fills:
             self.pwc.insert(asid, va, depth, frame, mode)
 
-    # -- Figure 2(e): one nested page-table access ---------------------------
+    # -- the host half of Figure 2(e) ----------------------------------------
 
     @translates("gfn", "hfn")
     @takes(gfn="gfn", hptr="hfn", va="gva")
@@ -236,44 +255,7 @@ class PageWalker:
         hfn, level, pte, refs = self.host_walk(gfn << 12, hptr, is_write=is_write, va=va)
         if self.nested_tlb is not None:
             self.nested_tlb.insert(gfn, hfn, pte.writable, pte.dirty)
-        return hfn, level_shift(level), refs
-
-    @takes(node_gfn="gfn", va="gva", hptr="hfn")
-    def _nested_pt_access(self, node_gfn, va, level, hptr, is_write):
-        """Read one guest PTE, then host-walk the gPA it names.
-
-        Returns ``(gpte, at_leaf, next_gfn_or_hfn, host_shift, refs)``:
-        at the leaf, the third element is the host 4K frame of the data
-        page; above it, the gfn of the next guest node.
-        """
-        refs = 1
-        self._note("gPT", level)
-        self._touch("guest", node_gfn, pt_index(va, level))
-        node = self._node(self.guest_mem, node_gfn, "gPT")
-        gpte = node.get(pt_index(va, level))
-        if gpte is None or not gpte.present:
-            raise GuestPageFault(va, refs=refs, level=level, is_write=is_write)
-        gpte.accessed = True
-        at_leaf = gpte.huge or level == LEAF_LEVEL
-        if at_leaf:
-            if is_write and not gpte.writable:
-                raise GuestPageFault(va, refs=refs, level=level,
-                                     is_write=True, protection=True)
-            if is_write:
-                gpte.dirty = True
-            gfn_4k = _frame_4k(gpte, va, level)
-            try:
-                hfn, host_shift, host_refs = self._translate_gfn(gfn_4k, hptr, is_write, va)
-            except HostPageFault as fault:
-                fault.refs += refs
-                raise
-            return gpte, True, hfn, host_shift, refs + host_refs
-        try:
-            _hfn, host_shift, host_refs = self._translate_gfn(gpte.frame, hptr, False, va)
-        except HostPageFault as fault:
-            fault.refs += refs
-            raise
-        return gpte, False, gpte.frame, host_shift, refs + host_refs
+        return hfn, LEVEL_SHIFTS[level], refs
 
     # -- Figure 2(b): full nested walk ---------------------------------------
 
@@ -306,36 +288,62 @@ class PageWalker:
     @takes(va="gva", node_gfn="gfn")
     def _nested_levels(self, va, ctx, is_write, node_gfn, start_level, refs,
                        pwc_fills, nested_tag):
-        """Walk guest levels ``start_level``..leaf in nested mode."""
-        nested_count = 0
-        for level in range(start_level, LEAF_LEVEL - 1, -1):
-            try:
-                gpte, at_leaf, nxt, host_shift, step_refs = self._nested_pt_access(
-                    node_gfn, va, level, ctx.hptr, is_write
-                )
-            except (GuestPageFault, HostPageFault) as fault:
-                fault.refs += refs
-                raise
-            refs += step_refs
-            nested_count += 1
-            if at_leaf:
-                guest_shift = level_shift(level)
-                eff_shift = min(guest_shift, host_shift)
-                nested_levels = nested_tag
-                if nested_tag is not NESTED_FULL:
-                    nested_levels = nested_count
-                self._pwc_commit(ctx.asid, va, pwc_fills)
-                return WalkResult(
-                    frame=_entry_base(nxt, va, eff_shift),
-                    page_shift=eff_shift,
-                    writable=gpte.writable,
-                    dirty=gpte.dirty,
-                    refs=refs,
-                    nested_levels=nested_levels,
-                    mode="nested" if nested_tag is NESTED_FULL else "agile",
-                )
-            node_gfn = nxt
-            pwc_fills.append((ROOT_LEVEL - (level - 1), node_gfn, PWC_GUEST))
+        """Walk guest levels ``start_level``..leaf in nested mode.
+
+        Each iteration is Figure 2(e)'s nested page-table access: read
+        one guest PTE (1 reference), then translate the gPA it names
+        through the nested TLB or a host walk. A fault raised anywhere in
+        the walk carries every reference spent so far, ``refs`` (the
+        references of the walk's earlier stages) included.
+        """
+        guest_frames = self.guest_mem._frames
+        hptr = ctx.hptr
+        tracked = self.journal is not None or self.pte_cache is not None
+        try:
+            for level in range(start_level, LEAF_LEVEL - 1, -1):
+                refs += 1
+                shift = LEVEL_SHIFTS[level]
+                index = (va >> shift) & INDEX_MASK
+                if tracked:
+                    self._reference("gPT", "guest", node_gfn, level, index)
+                node = guest_frames.get(node_gfn)
+                if node is None:
+                    raise _empty_frame("gPT", node_gfn)
+                gpte = node.entries.get(index)
+                if gpte is None or not gpte.present:
+                    raise GuestPageFault(va, refs=refs, level=level, is_write=is_write)
+                gpte.accessed = True
+                if gpte.huge or level == LEAF_LEVEL:
+                    if is_write and not gpte.writable:
+                        raise GuestPageFault(va, refs=refs, level=level,
+                                             is_write=True, protection=True)
+                    if is_write:
+                        gpte.dirty = True
+                    hfn, host_shift, host_refs = self._translate_gfn(
+                        _frame_4k(gpte, va, level), hptr, is_write, va)
+                    refs += host_refs
+                    eff_shift = min(shift, host_shift)
+                    nested_levels = nested_tag
+                    if nested_tag is not NESTED_FULL:
+                        nested_levels = start_level - level + 1
+                    self._pwc_commit(ctx.asid, va, pwc_fills)
+                    return WalkResult(
+                        frame=_entry_base(hfn, va, eff_shift),
+                        page_shift=eff_shift,
+                        writable=gpte.writable,
+                        dirty=gpte.dirty,
+                        refs=refs,
+                        nested_levels=nested_levels,
+                        mode="nested" if nested_tag is NESTED_FULL else "agile",
+                    )
+                node_gfn = gpte.frame
+                _hfn, _shift, host_refs = self._translate_gfn(node_gfn, hptr, False, va)
+                refs += host_refs
+                pwc_fills.append((ROOT_LEVEL - (level - 1), node_gfn, PWC_GUEST))
+        except HostPageFault as fault:
+            # The host walk counted only its own references.
+            fault.refs += refs
+            raise
         raise SimulationError("nested walk fell off the table")  # pragma: no cover
 
     # -- Figure 2(c): shadow walk --------------------------------------------
@@ -365,8 +373,11 @@ class PageWalker:
 
     @takes(va="gva")
     def _shadow_levels(self, va, ctx, is_write, allow_switching):
+        frames = self.host_mem._frames
+        node = frames.get(ctx.sptr)
+        if node is None:
+            raise _empty_frame("sPT", ctx.sptr)
         refs = 0
-        node = self._node(self.host_mem, ctx.sptr, "sPT")
         start_level = ROOT_LEVEL
         pwc_fills = []
         if self.pwc is not None:
@@ -383,12 +394,17 @@ class PageWalker:
                         va, ctx, is_write, frame, start_level, refs, [],
                         nested_tag="agile",
                     )
-                node = self._node(self.host_mem, frame, "sPT")
+                node = frames.get(frame)
+                if node is None:
+                    raise _empty_frame("sPT", frame)
+        tracked = self.journal is not None or self.pte_cache is not None
         for level in range(start_level, LEAF_LEVEL - 1, -1):
             refs += 1
-            self._note("sPT", level)
-            self._touch("host", node.frame, pt_index(va, level))
-            spte = node.get(pt_index(va, level))
+            shift = LEVEL_SHIFTS[level]
+            index = (va >> shift) & INDEX_MASK
+            if tracked:
+                self._reference("sPT", "host", node.frame, level, index)
+            spte = node.entries.get(index)
             if spte is None or not spte.present:
                 raise ShadowNotPresentFault(va, refs=refs, level=level, is_write=is_write)
             spte.accessed = True
@@ -404,7 +420,6 @@ class PageWalker:
                     raise ShadowProtectionFault(va, refs=refs, level=level)
                 if is_write:
                     spte.dirty = True
-                shift = level_shift(level)
                 frame_4k = _frame_4k(spte, va, level)
                 self._pwc_commit(ctx.asid, va, pwc_fills)
                 return WalkResult(
@@ -416,7 +431,9 @@ class PageWalker:
                     nested_levels=0,
                     mode="shadow" if not allow_switching else "agile",
                 )
-            node = self._node(self.host_mem, spte.frame, "sPT")
+            node = frames.get(spte.frame)
+            if node is None:
+                raise _empty_frame("sPT", spte.frame)
             pwc_fills.append((ROOT_LEVEL - (level - 1), node.frame, PWC_SHADOW))
         raise SimulationError("shadow walk fell off the table")  # pragma: no cover
 

@@ -15,10 +15,11 @@ from repro.common.addrspace import returns, takes
 from repro.common.errors import SimulationError
 from repro.common.params import (
     FOUR_KB,
+    INDEX_MASK,
     LEAF_LEVEL,
+    LEVEL_SHIFTS,
     ROOT_LEVEL,
     level_shift,
-    pt_index,
 )
 from repro.mem.pte import PTE, PageTableNode
 
@@ -73,10 +74,14 @@ class PageTable:
     @takes(frame="frame")
     def node_at(self, frame):
         """The :class:`PageTableNode` stored in ``frame``."""
-        node = self.physmem.read(frame)
+        node = self.physmem._frames.get(frame)
         if not isinstance(node, PageTableNode):
-            raise SimulationError("%s: frame %d is not a page-table node" % (self.name, frame))
+            raise self._not_a_node(frame)
         return node
+
+    @takes(frame="frame")
+    def _not_a_node(self, frame):
+        return SimulationError("%s: frame %d is not a page-table node" % (self.name, frame))
 
     def _write_entry(self, node, index, new):
         old = node.entries.get(index)
@@ -103,17 +108,20 @@ class PageTable:
         Intermediate entries are created present/writable/user as real
         OSes do; the leaf entry itself is *not* touched.
         """
+        frames = self.physmem._frames
         node = self.root
         for level in range(ROOT_LEVEL, leaf_level, -1):
-            index = pt_index(va, level)
-            pte = node.get(index)
+            index = (va >> LEVEL_SHIFTS[level]) & INDEX_MASK
+            pte = node.entries.get(index)
             if pte is not None and pte.present:
                 if pte.huge:
                     raise SimulationError(
                         "%s: huge mapping at level %d blocks path to level %d"
                         % (self.name, level, leaf_level)
                     )
-                node = self.node_at(pte.frame)
+                node = frames.get(pte.frame)
+                if not isinstance(node, PageTableNode):
+                    raise self._not_a_node(pte.frame)
                 continue
             child = self._new_node(level - 1, parent=node)
             self._write_entry(node, index, PTE(frame=child.frame))
@@ -126,15 +134,17 @@ class PageTable:
 
         ``level`` on a miss is the level at which the walk stopped.
         """
+        frames = self.physmem._frames
         node = self.root
         for level in range(ROOT_LEVEL, LEAF_LEVEL - 1, -1):
-            index = pt_index(va, level)
-            pte = node.get(index)
+            pte = node.entries.get((va >> LEVEL_SHIFTS[level]) & INDEX_MASK)
             if pte is None or not pte.present:
                 return None, level
             if pte.huge or level == LEAF_LEVEL:
                 return pte, level
-            node = self.node_at(pte.frame)
+            node = frames.get(pte.frame)
+            if not isinstance(node, PageTableNode):
+                raise self._not_a_node(pte.frame)
         raise SimulationError("unreachable walk state")  # pragma: no cover
 
     @takes(va="addr")
@@ -143,14 +153,18 @@ class PageTable:
 
         Returns (None, None, None) if the path is absent.
         """
+        frames = self.physmem._frames
         node = self.root
-        for level in range(ROOT_LEVEL, page_size.leaf_level, -1):
-            pte = node.get(pt_index(va, level))
+        leaf_level = page_size.leaf_level
+        for level in range(ROOT_LEVEL, leaf_level, -1):
+            pte = node.entries.get((va >> LEVEL_SHIFTS[level]) & INDEX_MASK)
             if pte is None or not pte.present or pte.huge:
                 return None, None, None
-            node = self.node_at(pte.frame)
-        index = pt_index(va, page_size.leaf_level)
-        return node, index, node.get(index)
+            node = frames.get(pte.frame)
+            if not isinstance(node, PageTableNode):
+                raise self._not_a_node(pte.frame)
+        index = (va >> LEVEL_SHIFTS[leaf_level]) & INDEX_MASK
+        return node, index, node.entries.get(index)
 
     @takes(va="addr")
     @returns("frame", None)
@@ -159,11 +173,10 @@ class PageTable:
         pte, level = self.lookup(va)
         if pte is None:
             return None
-        shift = level_shift(level)
-        base_frame = pte.frame
+        shift = LEVEL_SHIFTS[level]
         # A huge mapping covers many 4K frames; pick the right one.
         offset_frames = (va & ((1 << shift) - 1)) >> 12
-        return base_frame + offset_frames, shift
+        return pte.frame + offset_frames, shift
 
     # -- mutation ---------------------------------------------------------
 
@@ -181,7 +194,7 @@ class PageTable:
             dirty=dirty,
             huge=leaf_level > LEAF_LEVEL,
         )
-        self._write_entry(node, pt_index(va, leaf_level), pte)
+        self._write_entry(node, (va >> LEVEL_SHIFTS[leaf_level]) & INDEX_MASK, pte)
         return pte
 
     @takes(va="addr")

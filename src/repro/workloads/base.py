@@ -60,19 +60,18 @@ class Workload:
 
     def region_access(self, api, base, page_indices, write_mask=None):
         """Issue one access per page index; ``write_mask`` marks writes."""
-        granule = self.granule
-        if write_mask is None:
-            for index in page_indices:
-                api.read(base + int(index) * granule)
-        else:
-            for index, is_write in zip(page_indices, write_mask):
-                api.access(base + int(index) * granule, bool(is_write))
+        indices = np.asarray(page_indices, dtype=np.int64)
+        vas = (indices * self.granule + base).tolist()
+        writes = None
+        if write_mask is not None:
+            writes = np.asarray(write_mask, dtype=bool).tolist()
+        api.access_many(vas, writes)
 
     def warm_region(self, api, base, npages, write=True):
         """Touch every page once (demand-fault the region in)."""
         granule = self.granule
-        for index in range(npages):
-            api.access(base + index * granule, write)
+        api.access_many(range(base, base + npages * granule, granule),
+                        [write] * npages)
 
     def __repr__(self):
         return "%s(ops=%d, seed=%r)" % (type(self).__name__, self.ops, self.seed)

@@ -58,6 +58,13 @@ class TraceRecorder:
         self.records.append((ACCESS, va, bool(is_write)))
         return self._api.access(va, is_write)
 
+    def access_many(self, vas, writes=None):
+        """Record one ACCESS entry per op, exactly as per-op calls would."""
+        vas = list(vas)
+        writes = [False] * len(vas) if writes is None else list(writes)
+        self.records.extend((ACCESS, va, bool(w)) for va, w in zip(vas, writes))
+        self._api.access_many(vas, writes)
+
     def spawn(self, code_pages=None):
         proc = self._api.spawn(code_pages=code_pages)
         self._procs.append(proc)

@@ -47,6 +47,15 @@ class TestFaultHierarchy:
     def test_message_mentions_va(self):
         assert "0x1234" in str(GuestPageFault(0x1234))
 
+    def test_message_reports_refs_added_after_construction(self):
+        """Walkers add the outer stages' references to a fault as it
+        unwinds; the message must show the final count."""
+        fault = HostPageFault(0x1000, gpa=0x5000, refs=4, level=1)
+        fault.refs += 20
+        assert "refs=24" in str(fault)
+        assert str(fault) == (
+            "HostPageFault at va=0x1000 (level=1, refs=24)")
+
     def test_simulation_error_is_not_a_fault(self):
         assert not isinstance(SimulationError("x"), TranslationFault)
 

@@ -51,6 +51,15 @@ class TestLevelShift:
         with pytest.raises(ValueError):
             level_shift(level)
 
+    def test_shift_table_matches_the_formula(self):
+        """The walk loops index LEVEL_SHIFTS instead of calling
+        level_shift; both must agree on every level."""
+        assert params.LEVEL_SHIFTS == {
+            level: 12 + 9 * (level - 1) for level in range(1, 5)}
+        for level, shift in params.LEVEL_SHIFTS.items():
+            assert level_shift(level) == shift
+        assert params.INDEX_MASK == params.ENTRIES_PER_NODE - 1
+
 
 class TestPtIndex:
     def test_extracts_each_field(self):
@@ -68,6 +77,11 @@ class TestPtIndex:
     def test_zero_va(self):
         for level in range(1, 5):
             assert pt_index(0, level) == 0
+
+    @pytest.mark.parametrize("level", [0, 5, -1])
+    def test_rejects_bad_level(self, level):
+        with pytest.raises(ValueError):
+            pt_index(0x1234_5678, level)
 
 
 class TestPageHelpers:

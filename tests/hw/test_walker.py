@@ -116,6 +116,19 @@ class TestNestedWalk:
             walker_for(setup).nested_walk(GVA, setup.nested_ctx())
         assert exc.value.gpa == gfn << 12
 
+    def test_host_fault_message_reports_the_whole_walk(self, setup):
+        """A host fault at the data page's gPA unwinds through the nested
+        walk, which adds the guest-side references; the printed count
+        must be the one the fault carries (charged by the machine)."""
+        gfn = setup.gpt.translate(GVA)[0]
+        setup.hpt.unmap(gfn << 12)
+        with pytest.raises(HostPageFault) as exc:
+            walker_for(setup).nested_walk(GVA, setup.nested_ctx())
+        # Root gPA host walk (4), three guest levels at 1 + 4 each, the
+        # guest leaf read (1), and the faulting host walk (4).
+        assert exc.value.refs == 24
+        assert "refs=24" in str(exc.value)
+
     def test_guest_readonly_write_faults_to_guest(self, setup):
         setup.gpt.set_flags(GVA, writable=False)
         with pytest.raises(GuestPageFault) as exc:

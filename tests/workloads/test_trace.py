@@ -67,3 +67,44 @@ class TestReplay:
         records[1] = (kind, size, writable, region_kind, populate, va + 0x1000)
         with pytest.raises(Exception):
             replay(records, fresh_api())
+
+
+def _per_op_access_many(self, vas, writes=None):
+    """Record-and-forward one op at a time (the per-op specification)."""
+    for va, is_write in zip(vas, writes if writes is not None
+                            else [False] * len(vas)):
+        self.access(va, is_write)
+
+
+class TestBatchedRecording:
+    def test_access_many_records_one_entry_per_op(self):
+        recorder = TraceRecorder(fresh_api())
+        recorder.spawn()
+        base = recorder.mmap(4 << 12)
+        recorder.access_many([base, base + 4096], [True, False])
+        recorder.access_many([base + 8192])
+        assert recorder.records[2:] == [
+            ("A", base, True), ("A", base + 4096, False),
+            ("A", base + 8192, False)]
+
+    @pytest.mark.parametrize("workload", make_suite(ops=1_500),
+                             ids=lambda workload: workload.name)
+    def test_suite_traces_match_per_op_recording(self, workload,
+                                                 monkeypatch):
+        """Batching is invisible in a trace: every suite workload records
+        the entries per-op recording would, and the trace replays to the
+        recorded machine's counts."""
+        source = System(sandy_bridge_config(mode="agile"))
+        records = record(workload, MachineAPI(source))
+        with monkeypatch.context() as patch:
+            patch.setattr(TraceRecorder, "access_many", _per_op_access_many)
+            per_op_source = System(sandy_bridge_config(mode="agile"))
+            per_op_records = record(workload, MachineAPI(per_op_source))
+        assert records == per_op_records
+        assert (source.collect_metrics().to_dict()
+                == per_op_source.collect_metrics().to_dict())
+
+        target = System(sandy_bridge_config(mode="agile"))
+        replay(records, MachineAPI(target))
+        assert (target.collect_metrics().to_dict()
+                == source.collect_metrics().to_dict())
