@@ -19,7 +19,6 @@ from repro.common.params import (
     LEAF_LEVEL,
     LEVEL_SHIFTS,
     ROOT_LEVEL,
-    level_shift,
 )
 from repro.mem.pte import PTE, PageTableNode
 
@@ -271,19 +270,30 @@ class PageTable:
                     stack.append(self.node_at(pte.frame))
 
     def iter_leaves(self):
-        """Yield (va, pte, level) for every installed leaf mapping."""
-        def recurse(node, va_prefix):
-            for index, pte in sorted(node.entries.items()):
+        """Yield (va, pte, level) for every installed leaf mapping.
+
+        Depth-first in ascending index order, so VAs come out sorted.
+        An explicit stack of per-node iterators replaces one generator
+        frame per node; a node's entries are read when it is entered.
+        """
+        root = self.root
+        stack = [(iter(sorted(root.entries.items())), 0, root.level)]
+        while stack:
+            items, prefix, level = stack[-1]
+            shift = LEVEL_SHIFTS[level]
+            for index, pte in items:
                 if not pte.present:
                     continue
-                va = va_prefix | (index << level_shift(node.level))
-                if pte.huge or node.level == LEAF_LEVEL:
-                    yield va, pte, node.level
+                va = prefix | (index << shift)
+                if pte.huge or level == LEAF_LEVEL:
+                    yield va, pte, level
                 elif not pte.switching:
                     child = self.node_at(pte.frame)
-                    yield from recurse(child, va)
-
-        yield from recurse(self.root, 0)
+                    stack.append((iter(sorted(child.entries.items())), va,
+                                  child.level))
+                    break
+            else:
+                stack.pop()
 
     def count_mappings(self):
         """Number of installed leaf mappings (any granule)."""

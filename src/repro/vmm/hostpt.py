@@ -8,7 +8,7 @@ VMexit, which :class:`repro.vmm.vmm.VMM` resolves through this class.
 """
 
 from repro.common.addrspace import returns, takes, translates
-from repro.common.params import FOUR_KB
+from repro.common.params import FOUR_KB, LEVEL_SHIFTS
 from repro.mem.pagetable import PageTable
 
 
@@ -35,6 +35,19 @@ class HostPageTable:
         """Host frame backing ``gfn`` or None."""
         translated = self.table.translate(gfn << 12)
         return translated[0] if translated is not None else None
+
+    @takes(gfn="gfn")
+    @returns("hfn", None)
+    def backing(self, gfn):
+        """(hfn, leaf PTE) backing ``gfn`` from one walk, or (None, None).
+
+        ``hfn`` equals :meth:`translate`'s answer; the PTE carries the
+        host permissions and A/D bits of the mapping that covers it.
+        """
+        pte, level = self.table.lookup(gfn << 12)
+        if pte is None:
+            return None, None
+        return pte.frame + (gfn & ((1 << (LEVEL_SHIFTS[level] - 12)) - 1)), pte
 
     @takes(gfn="gfn")
     @returns("hfn", None)
@@ -98,13 +111,15 @@ class HostPageTable:
         gpa_base = (gfn // span) * span << 12
         return self.table.unmap(gpa_base, self.page_size)
 
-    @returns("gfn")
-    def iter_mapped_gfns(self):
-        """All backed guest frame numbers, in deterministic (va) order.
+    @returns("gfn", None)
+    def iter_backed(self):
+        """(gfn, dirty) for every backed mapping, in ascending gfn order.
 
-        The balloon driver walks this to pick revocation victims; the
-        order must be a pure function of mapping history so consolidated
-        runs replay identically.
+        One pass over the host table's leaves: the balloon driver picks
+        its revocation victims from this, and the order must be a pure
+        function of mapping history so consolidated runs replay
+        identically. At a large host granule ``gfn`` is the block's
+        first frame.
         """
-        for va, _pte, _level in self.table.iter_leaves():
-            yield va >> 12
+        for va, pte, _level in self.table.iter_leaves():
+            yield va >> 12, pte.dirty

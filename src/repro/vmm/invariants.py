@@ -33,7 +33,7 @@ System runs one final sweep when metrics are collected.
 """
 
 from repro.common.errors import SimulationError
-from repro.common.params import LEAF_LEVEL, ROOT_LEVEL, level_shift, pt_index
+from repro.common.params import INDEX_MASK, LEAF_LEVEL, LEVEL_SHIFTS, ROOT_LEVEL
 from repro.vmm.shadowmgr import NODE_NESTED, NODE_SHADOW
 
 SHADOW_COHERENCE = "shadow-coherence"
@@ -42,18 +42,42 @@ NESTED_SUBTREES = "nested-subtrees"
 TLB_COHERENCE = "tlb-coherence"
 
 
+class WalkStep(tuple):
+    """One visited entry of a checked walk path, rendered on demand.
+
+    A ``(table, level, index, pte)`` tuple. The checker records a step
+    per table entry it visits but reads the text only when it raises, so
+    a passing check never formats a PTE.
+    """
+
+    __slots__ = ()
+
+    def __str__(self):
+        return "%s L%d[%d]=%r" % self
+
+
+def _frozen(value):
+    """``value`` with any walk steps in it rendered to their text."""
+    if isinstance(value, list):
+        return [str(item) if isinstance(item, WalkStep) else item
+                for item in value]
+    return value
+
+
 class InvariantViolation(SimulationError):
     """A paranoid-mode check failed; carries the full walk context.
 
     ``invariant`` is one of the module-level invariant names;
     ``context`` maps descriptive keys (pid, va, shadow_path, expected,
-    actual, ...) to values. VAs/prefixes are rendered in hex.
+    actual, ...) to values. VAs/prefixes are rendered in hex. Walk paths
+    are frozen to their strings here, so the violation keeps describing
+    the state it caught even if a PTE on the path changes afterwards.
     """
 
     def __init__(self, invariant, message, **context):
         self.invariant = invariant
         self.message = message
-        self.context = dict(context)
+        self.context = {key: _frozen(value) for key, value in context.items()}
         lines = ["[%s] %s" % (invariant, message)]
         for key in sorted(self.context):
             lines.append("    %s = %s" % (key, self._render(key, self.context[key])))
@@ -133,10 +157,10 @@ class InvariantChecker:
         manager = state.manager
 
         def recurse(node, prefix, path):
+            shift = LEVEL_SHIFTS[node.level]
             for index, spte in sorted(node.entries.items()):
-                va = prefix | (index << level_shift(node.level))
-                step = "sPT L%d[%d]=%r" % (node.level, index, spte)
-                here = path + [step]
+                va = prefix | (index << shift)
+                here = path + [WalkStep(("sPT", node.level, index, spte))]
                 if not spte.present:
                     continue
                 if spte.switching:
@@ -228,7 +252,7 @@ class InvariantChecker:
                 pid=state.pid, va=va, shadow_level=leaf_level,
                 expected_level=expected_level, shadow_path=path,
                 guest_path=guest_path)
-        expected_hfn = manager.hostpt.translate(expected_gfn)
+        expected_hfn, host_pte = manager.hostpt.backing(expected_gfn)
         if expected_hfn is None:
             raise InvariantViolation(
                 SHADOW_COHERENCE,
@@ -241,7 +265,6 @@ class InvariantChecker:
                 "shadow leaf frame diverges from the guest ⊕ host composition",
                 pid=state.pid, va=va, actual=spte.frame, expected=expected_hfn,
                 gfn=expected_gfn, shadow_path=path, guest_path=guest_path)
-        host_pte = manager.hostpt.leaf_for_gfn(expected_gfn)
         if spte.writable and not (gpte.writable and host_pte.writable):
             raise InvariantViolation(
                 SHADOW_COHERENCE,
@@ -286,9 +309,9 @@ class InvariantChecker:
                     pid=state.pid, va=va, node_level=meta.level,
                     node_mode=meta.mode, shadow_path=shadow_path,
                     guest_path=guest_path)
-            index = pt_index(va, glevel)
-            gpte = gnode.get(index)
-            guest_path.append("gPT L%d[%d]=%r" % (glevel, index, gpte))
+            index = (va >> LEVEL_SHIFTS[glevel]) & INDEX_MASK
+            gpte = gnode.entries.get(index)
+            guest_path.append(WalkStep(("gPT", glevel, index, gpte)))
             if gpte is None or not gpte.present:
                 raise InvariantViolation(
                     SHADOW_COHERENCE,
@@ -308,9 +331,9 @@ class InvariantChecker:
         node = manager.spt.root
         path = []
         for level in range(ROOT_LEVEL, LEAF_LEVEL - 1, -1):
-            index = pt_index(va, level)
-            spte = node.get(index)
-            path.append("sPT L%d[%d]=%r" % (level, index, spte))
+            index = (va >> LEVEL_SHIFTS[level]) & INDEX_MASK
+            spte = node.entries.get(index)
+            path.append(WalkStep(("sPT", level, index, spte)))
             if spte is None or not spte.present:
                 return  # lazy shadow miss: nothing cached, nothing to check
             if spte.switching:
@@ -365,54 +388,63 @@ class InvariantChecker:
         node = manager._descend(level, va)
         if node is None:
             return None
-        return node.get(pt_index(va, level))
+        return node.entries.get((va >> LEVEL_SHIFTS[level]) & INDEX_MASK)
 
     # -- TLB coherence -----------------------------------------------------------
 
     def _check_tlb(self, state):
         if state.proc is None:
             return
+        asid = state.proc.asid
+        # A page cached in several arrays (L1 and L2) has one composed
+        # translation: walk for it once per sweep.
+        composed = {}
         for entry in self.vmm.mmu.hierarchy.iter_entries():
-            if entry.asid == state.proc.asid:
-                self._check_tlb_entry(state, entry)
+            if entry.asid == asid:
+                self._check_tlb_entry(state, entry, composed)
 
     def _check_tlb_va(self, state, va):
         if state.proc is None:
             return
         for entry in self.vmm.mmu.hierarchy.peek_entries(state.proc.asid, va):
-            self._check_tlb_entry(state, entry)
+            self._check_tlb_entry(state, entry, {})
 
-    def _check_tlb_entry(self, state, entry):
+    def _check_tlb_entry(self, state, entry, composed):
+        """One cached entry against the composed guest ⊕ host mapping of
+        its page; ``composed`` memoizes (gpte, gfn, hfn) by VA."""
         va = entry.vpn << entry.page_shift
-        translated = state.proc.page_table.translate(va)
-        if translated is None:
-            raise InvariantViolation(
-                TLB_COHERENCE,
-                "stale TLB entry: the guest table no longer maps this page",
-                pid=state.pid, va=va, entry=repr(entry))
-        gfn, _shift = translated
-        hfn = self.vmm.hostpt.translate(gfn)
-        if hfn is None:
-            raise InvariantViolation(
-                TLB_COHERENCE,
-                "stale TLB entry: the host table no longer backs this frame",
-                pid=state.pid, va=va, gfn=gfn, entry=repr(entry))
+        known = composed.get(va)
+        if known is None:
+            # One guest walk yields both the frame and the write bit.
+            gpte, level = state.proc.page_table.lookup(va)
+            if gpte is None:
+                raise InvariantViolation(
+                    TLB_COHERENCE,
+                    "stale TLB entry: the guest table no longer maps this "
+                    "page", pid=state.pid, va=va, entry=repr(entry))
+            gfn = gpte.frame + ((va & level_span_mask(level)) >> 12)
+            hfn = self.vmm.hostpt.translate(gfn)
+            if hfn is None:
+                raise InvariantViolation(
+                    TLB_COHERENCE,
+                    "stale TLB entry: the host table no longer backs this "
+                    "frame", pid=state.pid, va=va, gfn=gfn, entry=repr(entry))
+            known = composed[va] = (gpte, gfn, hfn)
+        gpte, gfn, hfn = known
         if entry.frame != hfn:
             raise InvariantViolation(
                 TLB_COHERENCE,
                 "TLB entry frame diverges from the composed translation",
                 pid=state.pid, va=va, actual=entry.frame, expected=hfn,
                 gfn=gfn, entry=repr(entry))
-        if entry.writable:
-            gpte, _level = state.proc.page_table.lookup(va)
-            if gpte is None or not gpte.writable:
-                raise InvariantViolation(
-                    TLB_COHERENCE,
-                    "write-enabled TLB entry over a read-only (or absent) "
-                    "guest mapping",
-                    pid=state.pid, va=va, entry=repr(entry))
+        if entry.writable and not gpte.writable:
+            raise InvariantViolation(
+                TLB_COHERENCE,
+                "write-enabled TLB entry over a read-only (or absent) "
+                "guest mapping",
+                pid=state.pid, va=va, entry=repr(entry))
 
 
 def level_span_mask(level):
     """Mask of the VA bits below ``level``'s entry span."""
-    return (1 << level_shift(level)) - 1
+    return (1 << LEVEL_SHIFTS[level]) - 1

@@ -23,7 +23,14 @@ mode and no switching bit is ever installed.
 from repro.common.addrspace import returns, takes
 from repro.common.effects import mutates
 from repro.common.errors import SimulationError
-from repro.common.params import LEAF_LEVEL, ROOT_LEVEL, level_shift, pt_index
+from repro.common.params import (
+    INDEX_MASK,
+    LEAF_LEVEL,
+    LEVEL_SHIFTS,
+    ROOT_LEVEL,
+    level_shift,
+    pt_index,
+)
 from repro.mem.pagetable import PageTable
 from repro.mem.pte import PTE
 
@@ -164,7 +171,7 @@ class ShadowManager:
         """Shadow node holding the entry at (level, va), or None."""
         node = self.spt.root
         for current in range(ROOT_LEVEL, level, -1):
-            pte = node.get(pt_index(va, current))
+            pte = node.entries.get((va >> LEVEL_SHIFTS[current]) & INDEX_MASK)
             if pte is None or not pte.present or pte.huge or pte.switching:
                 return None
             node = self.spt.node_at(pte.frame)
@@ -177,8 +184,8 @@ class ShadowManager:
         node = self._descend(level, va)
         if node is None:
             return False
-        index = pt_index(va, level)
-        if node.get(index) is None:
+        index = (va >> LEVEL_SHIFTS[level]) & INDEX_MASK
+        if node.entries.get(index) is None:
             return False
         self.spt.clear_subtree(node, index)
         return True

@@ -11,10 +11,13 @@ kind's cost and records it in :class:`repro.vmm.traps.TrapStats`, so
 Figure 5's "VMM intervention" bars can be regenerated directly.
 """
 
+from bisect import bisect_right
+from itertools import chain
+
 from repro.common.config import MODE_AGILE, MODE_NESTED, MODE_SHADOW, MODE_SHSP
 from repro.common.effects import policy_decision, trap_handler
 from repro.common.errors import SimulationError
-from repro.common.params import LEAF_LEVEL, ROOT_LEVEL, pt_index
+from repro.common.params import INDEX_MASK, LEAF_LEVEL, LEVEL_SHIFTS, ROOT_LEVEL
 from repro.common.timedomain import advances, charges, cycles
 from repro.guest.kernel import GuestPlatform
 from repro.hw.cr3cache import CR3Cache
@@ -237,7 +240,7 @@ class VMM(GuestPlatform):
         for level in range(ROOT_LEVEL, LEAF_LEVEL, -1):
             if meta.mode != NODE_SHADOW:
                 return False
-            pte = node.get(pt_index(va, level))
+            pte = node.get((va >> LEVEL_SHIFTS[level]) & INDEX_MASK)
             if pte is None or not pte.present or pte.huge:
                 break
             child_meta = manager.node_meta.get(pte.frame)
@@ -515,16 +518,17 @@ class VMM(GuestPlatform):
         Returns the number of host frames freed to this VM's allocator
         (the host ledger is credited by the metered memory itself).
         """
-        mapped = sorted(self.hostpt.iter_mapped_gfns())
-        if not mapped:
+        backed = list(self.hostpt.iter_backed())
+        if not backed:
             return 0
-        # Rotate the sweep to start just past the last revoked gfn.
-        start = 0
-        while start < len(mapped) and mapped[start] <= self._balloon_hand:
-            start += 1
-        order = mapped[start:] + mapped[:start]
-        victims = [g for g in order if not self.hostpt.is_dirty(g)]
-        victims += [g for g in order if self.hostpt.is_dirty(g)]
+        # Rotate the sweep to start just past the last revoked gfn: the
+        # first entry whose gfn exceeds the hand (True sorts after both
+        # dirty values, so every entry at the hand itself stays left).
+        start = bisect_right(backed, (self._balloon_hand, True))
+        order = backed[start:] + backed[:start]
+        # Lazily: an episode usually stops among the first clean pages.
+        victims = chain((gfn for gfn, dirty in order if not dirty),
+                        (gfn for gfn, dirty in order if dirty))
         span = self.hostpt._frames_per_page
         freed = 0
         revoked_hfns = set()

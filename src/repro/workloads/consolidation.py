@@ -19,9 +19,13 @@ Three members, one per consolidation stress the paper's claims meet:
   balloon revocations and re-backing host faults.
 """
 
+import numpy as np
+
 from repro.workloads.base import Workload
 
-#: Guest operations issued between yields (one schedulable step).
+#: Guest operations issued between yields (one schedulable step). Each
+#: step's accesses go to the machine as one ``access_many`` batch (per
+#: burst for :class:`ContextSwitchStorm`, which switches between bursts).
 STEP_OPS = 64
 
 
@@ -69,12 +73,14 @@ class PackedHog(SteppedWorkload):
             ranks = self.rng.zipf(1.2, size=n)
             cold = self.rng.random(n) < 0.05
             writes = self.rng.random(n) < self.write_fraction
+            vas = []
             for i in range(n):
                 if cold[i]:
                     page = int(self.rng.integers(self.npages))
                 else:
                     page = int(min(ranks[i], self.hot_pages) - 1)
-                api.access(base + page * granule, bool(writes[i]))
+                vas.append(base + page * granule)
+            api.access_many(vas, writes.tolist())
             done += n
             yield
 
@@ -127,9 +133,8 @@ class ContextSwitchStorm(SteppedWorkload):
                 burst = min(self.switch_every, n - issued)
                 pages = self.rng.integers(self.proc_pages, size=burst)
                 writes = self.rng.random(burst) < 0.25
-                for i in range(burst):
-                    api.access(heaps[index] + int(pages[i]) * granule,
-                               bool(writes[i]))
+                api.access_many((pages * granule + heaps[index]).tolist(),
+                                writes.tolist())
                 issued += burst
             done += n
             yield
@@ -166,10 +171,9 @@ class ReclaimThrasher(SteppedWorkload):
         while done < self.ops:
             n = min(STEP_OPS, self.ops - done)
             jitter = self.rng.integers(4, size=n)
-            for i in range(n):
-                page = (cursor + int(jitter[i])) % self.npages
-                cursor = (cursor + 1) % self.npages
-                api.write(base + page * granule)
+            pages = (cursor + np.arange(n) + jitter) % self.npages
+            cursor = (cursor + n) % self.npages
+            api.access_many((pages * granule + base).tolist(), [True] * n)
             done += n
             yield
 

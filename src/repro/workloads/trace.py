@@ -124,14 +124,23 @@ def replay(records, api):
 
     Verifies determinism: replayed mmaps must land at the recorded
     addresses (they do, because the guest kernel is deterministic).
+    Each run of consecutive ACCESS records is issued as one
+    ``access_many`` batch.
     """
     procs = []
+    vas = []
+    writes = []
     for entry in records:
         kind = entry[0]
         if kind == ACCESS:
-            _k, va, is_write = entry
-            api.access(va, is_write)
-        elif kind == SPAWN:
+            vas.append(entry[1])
+            writes.append(entry[2])
+            continue
+        if vas:
+            api.access_many(vas, writes)
+            vas = []
+            writes = []
+        if kind == SPAWN:
             procs.append(api.spawn(code_pages=entry[1]))
         elif kind == EXIT:
             api.exit(procs[entry[1]])
@@ -160,3 +169,5 @@ def replay(records, api):
             api.settle(entry[1])
         else:
             raise SimulationError("unknown trace record %r" % (entry,))
+    if vas:
+        api.access_many(vas, writes)

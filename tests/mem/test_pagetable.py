@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.common.params import FOUR_KB, ONE_GB, TWO_MB
+from repro.common.params import FOUR_KB, ONE_GB, TWO_MB, level_shift
 from repro.mem.pagetable import PageTable, PageTableObserver
 from repro.mem.physmem import PhysicalMemory
+from repro.mem.pte import PTE
 
 
 @pytest.fixture
@@ -119,6 +120,52 @@ class TestIteration:
         [(va, pte, level)] = list(table.iter_leaves())
         assert va == 0
         assert level == 2
+
+    def test_iter_leaves_matches_recursive_reference(self, table):
+        """The iterative walk yields what a recursive generator over
+        sorted entries yields, in the same order: huge leaves at every
+        level, switching entries and non-present entries skipped."""
+        frames = iter(range(1000, 4000))
+        for i in range(40):
+            table.map(((i * 37) % 300) << 12 | (i % 3) << 30, next(frames))
+        for i in range(6):
+            table.map((5 << 30) + (i * 3 << 21), next(frames), TWO_MB)
+        table.map(7 << 30, next(frames), ONE_GB)
+        table.map(6 << 30, next(frames), TWO_MB)
+        table.map((6 << 30) + (1 << 21) + 0x5000, next(frames))
+        # Switching entries (agile shadow tables) at levels 2 and 3, and
+        # non-present entries at the leaf and interior levels.
+        node, index, _pte = table.leaf_entry(6 << 30, TWO_MB)
+        node.set(index + 5, PTE(frame=77, switching=True, guest_node=True))
+        node.set(index + 6, PTE(frame=78, present=False))
+        root_child, index, _pte = table.leaf_entry(9 << 30, ONE_GB)
+        root_child.set(index, PTE(frame=79, switching=True, guest_node=True))
+        node, index, _pte = table.leaf_entry(0x3000)
+        node.set(index + 1, PTE(frame=80, present=False))
+        table.root.set(200, PTE(frame=81, present=False))
+
+        def recursive(node, prefix):
+            for index, pte in sorted(node.entries.items()):
+                if not pte.present:
+                    continue
+                va = prefix | (index << level_shift(node.level))
+                if pte.huge or node.level == 1:
+                    yield va, pte, node.level
+                elif not pte.switching:
+                    yield from recursive(table.node_at(pte.frame), va)
+
+        expected = list(recursive(table.root, 0))
+        got = list(table.iter_leaves())
+        assert [(va, level) for va, _pte, level in got] \
+            == [(va, level) for va, _pte, level in expected]
+        assert all(a is b for (_v, a, _l), (_w, b, _m) in zip(got, expected))
+        assert {level for _va, _pte, level in got} == {1, 2, 3}
+        assert [va for va, _pte, _level in got] \
+            == sorted(va for va, _pte, _level in got)
+        assert len(got) == 49
+
+    def test_iter_leaves_empty_table(self, table):
+        assert list(table.iter_leaves()) == []
 
     def test_count_mappings(self, table):
         for i in range(10):

@@ -8,6 +8,13 @@ invariant and carries enough walk context to debug it.
 import pytest
 
 from repro.common.config import sandy_bridge_config
+from repro.common.params import (
+    FOUR_KB,
+    LEAF_LEVEL,
+    ROOT_LEVEL,
+    TWO_MB,
+    pt_index,
+)
 from repro.core.machine import System
 from repro.core.simulator import Simulator
 from repro.hw.tlb import TLBEntry
@@ -153,7 +160,75 @@ class TestNestedSubtrees:
         assert excinfo.value.invariant == NESTED_SUBTREES
 
 
+class TestMixedGranules:
+    @pytest.mark.parametrize("mode", ("shadow", "agile"))
+    @pytest.mark.parametrize("guest,host", ((TWO_MB, FOUR_KB),
+                                            (FOUR_KB, TWO_MB)),
+                             ids=("guest2M-host4K", "guest4K-host2M"))
+    def test_clean_run_passes_and_huge_offsets_are_checked(self, mode,
+                                                           guest, host):
+        """Shadow leaves and TLB entries inside a huge page (guest or
+        host side) derive their frame from the covering leaf plus the
+        page's offset in it; a clean run must agree with that, and an
+        entry off by one frame must not."""
+        system = System(sandy_bridge_config(mode=mode, page_size=guest,
+                                            host_page_size=host,
+                                            paranoid=True))
+        Simulator(system).run(DedupLike(ops=3_000, page_size=guest))
+        proc = system.kernel.current
+        state = system.vmm.states[proc.pid]
+        # Touch 4K pieces off the start of a (guest or host) 2M page.
+        va = next(va for va, _pte, _level in proc.page_table.iter_leaves())
+        for piece in (5, 7):
+            system.access((va & ~(TWO_MB.bytes - 1)) + piece * 4096)
+        system.check_invariants()
+        entry = next(entry for entry in system.mmu.hierarchy.iter_entries()
+                     if entry.asid == proc.asid and entry.page_shift == 12
+                     and entry.vpn % 512 == 7)
+        entry.frame += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.vmm.invariants._check_tlb_va(
+                state, entry.vpn << entry.page_shift)
+        assert excinfo.value.invariant == TLB_COHERENCE
+        assert "diverges" in excinfo.value.message
+
+
 class TestTLBCoherence:
+    def test_every_cached_copy_of_a_page_is_compared(self):
+        """A full sweep composes each page's translation once, but checks
+        every array's copy against it: a stale L2 copy behind a good L1
+        copy of the same page is still caught."""
+        system = run_agile()
+        state = shadowed_state(system)
+        tlbs = system.mmu.hierarchy.hierarchies[12]
+        good = next(entry for entry in tlbs.l1d.iter_entries()
+                    if entry.asid == state.proc.asid)
+        stale = TLBEntry(asid=good.asid, vpn=good.vpn, frame=good.frame + 1,
+                         page_shift=good.page_shift, writable=False)
+        tlbs.l2.insert(stale)
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.check_invariants()
+        assert excinfo.value.invariant == TLB_COHERENCE
+        assert excinfo.value.context["actual"] == stale.frame
+        assert excinfo.value.context["expected"] == good.frame
+
+    def test_write_enabled_entry_over_read_only_guest_page(self):
+        system = run_agile()
+        state = shadowed_state(system)
+        proc = state.proc
+        va, gpte, _level = next(leaf for leaf in proc.page_table.iter_leaves()
+                                if leaf[1].writable)
+        entry = TLBEntry(asid=proc.asid, vpn=va >> 12,
+                         frame=system.vmm.hostpt.translate(gpte.frame),
+                         page_shift=12, writable=True)
+        system.mmu.hierarchy.hierarchies[12].l1d.insert(entry)
+        system.vmm.invariants._check_tlb_va(state, va)  # coherent so far
+        gpte.writable = False
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.vmm.invariants._check_tlb_va(state, va)
+        assert excinfo.value.invariant == TLB_COHERENCE
+        assert "write-enabled TLB entry" in excinfo.value.message
+
     def test_stale_tlb_frame_is_detected(self):
         system = run_agile()
         state = shadowed_state(system)
@@ -193,3 +268,125 @@ class TestSHSPRebuildRegression:
         shadow_vas = {va for va, _p, _l in manager.spt.iter_leaves()}
         assert base not in shadow_vas
         system.check_invariants()
+
+
+def eager_shadow_path(manager, va, level):
+    """The shadow steps an eager checker formatted walking to (level, va)."""
+    node = manager.spt.root
+    path = []
+    for current in range(ROOT_LEVEL, level - 1, -1):
+        index = pt_index(va, current)
+        spte = node.get(index)
+        path.append("sPT L%d[%d]=%r" % (current, index, spte))
+        if current > level:
+            node = manager.spt.node_at(spte.frame)
+    return path
+
+
+def eager_guest_path(manager, va):
+    """The guest steps an eager checker formatted walking ``va``."""
+    gnode = manager._guest_node(manager.root_gfn)
+    path = []
+    for level in range(ROOT_LEVEL, LEAF_LEVEL - 1, -1):
+        index = pt_index(va, level)
+        gpte = gnode.get(index)
+        path.append("gPT L%d[%d]=%r" % (level, index, gpte))
+        if gpte is None or not gpte.present or gpte.huge:
+            break
+        if level > LEAF_LEVEL:
+            gnode = manager._guest_node(gpte.frame)
+    return path
+
+
+def assert_renders_eagerly(violation, **paths):
+    """``violation`` reads exactly as one built from eagerly formatted
+    path strings, and keeps reading so after the state changes."""
+    for key, path in paths.items():
+        assert violation.context[key] == path
+    eager = InvariantViolation(violation.invariant, violation.message,
+                               **dict(violation.context, **paths))
+    assert str(violation) == str(eager)
+    assert violation.to_dict() == eager.to_dict()
+    for key, path in paths.items():
+        assert "%s = %s" % (key, " -> ".join(path)) in str(violation)
+    return str(violation), violation.to_dict()
+
+
+class TestLazyPathRendering:
+    """Walk paths are rendered only when a violation is raised, and are
+    frozen there: the text equals the eager format, and mutating the
+    offending PTE afterwards changes nothing."""
+
+    def test_corrupted_shadow_leaf(self):
+        system = run_agile()
+        state = shadowed_state(system)
+        manager = state.manager
+        va, spte, level = list(manager.spt.iter_leaves())[0]
+        spte.frame += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.check_invariants()
+        violation = excinfo.value
+        assert violation.invariant == SHADOW_COHERENCE
+        assert "diverges" in violation.message
+        text, payload = assert_renders_eagerly(
+            violation,
+            shadow_path=eager_shadow_path(manager, va, level),
+            guest_path=eager_guest_path(manager, va))
+        spte.frame += 5
+        spte.writable = not spte.writable
+        assert violation.to_dict() == payload
+        assert str(violation) == text
+
+    def test_stale_guest_mapping(self):
+        system = run_agile()
+        state = shadowed_state(system)
+        manager = state.manager
+        va, spte, level = list(manager.spt.iter_leaves())[0]
+        assert level == LEAF_LEVEL
+        gnode = manager._guest_node(manager.root_gfn)
+        interior = []
+        for glevel in range(ROOT_LEVEL, LEAF_LEVEL, -1):
+            gpte = gnode.get(pt_index(va, glevel))
+            interior.append(gpte)
+            gnode = manager._guest_node(gpte.frame)
+        gnode.clear(pt_index(va, LEAF_LEVEL))
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.vmm.invariants.check_va(state, va)
+        violation = excinfo.value
+        assert violation.invariant == SHADOW_COHERENCE
+        assert "no mapping here" in violation.message
+        guest_path = eager_guest_path(manager, va)
+        assert guest_path[-1].endswith("=None")
+        text, payload = assert_renders_eagerly(
+            violation,
+            shadow_path=eager_shadow_path(manager, va, level),
+            guest_path=guest_path)
+        spte.frame += 3
+        interior[-1].accessed = not interior[-1].accessed
+        assert violation.to_dict() == payload
+        assert str(violation) == text
+
+    def test_switch_entry_to_shadow_mode_node(self):
+        system = run_agile()
+        state = shadowed_state(system)
+        manager = state.manager
+        gfn, meta = next(
+            (gfn, meta) for gfn, meta in manager.node_meta.items()
+            if meta.mode == NODE_SHADOW and meta.prefix is not None
+            and gfn != manager.root_gfn)
+        manager._install_switch(meta.prefix, meta.level + 1, gfn)
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.check_invariants()
+        violation = excinfo.value
+        assert violation.invariant == SWITCHING_BITS
+        assert "shadow-mode node" in violation.message
+        shadow_path = eager_shadow_path(manager, meta.prefix, meta.level + 1)
+        assert "S" in shadow_path[-1].split(", ")[-1]  # the switching bit
+        text, payload = assert_renders_eagerly(violation,
+                                               shadow_path=shadow_path)
+        node = manager._descend(meta.level + 1, meta.prefix)
+        switch = node.get(pt_index(meta.prefix, meta.level + 1))
+        switch.frame += 1
+        switch.guest_node = False
+        assert violation.to_dict() == payload
+        assert str(violation) == text

@@ -5,6 +5,11 @@ import pytest
 from repro.common.config import sandy_bridge_config
 from repro.core.machine import System
 from repro.core.simulator import MachineAPI
+from repro.workloads.consolidation import (
+    ContextSwitchStorm,
+    PackedHog,
+    ReclaimThrasher,
+)
 from repro.workloads.suite import make_suite
 from repro.workloads.trace import TraceRecorder, record, replay
 
@@ -55,6 +60,46 @@ class TestReplay:
             target = System(sandy_bridge_config(mode=mode))
             replay(records, MachineAPI(target))
             assert target.ops == source.ops
+
+    @pytest.mark.parametrize("workload", [
+        PackedHog(ops=800, seed=3, npages=256),
+        ContextSwitchStorm(ops=800, seed=4),
+        ReclaimThrasher(ops=800, seed=5, npages=300),
+    ], ids=lambda workload: workload.name)
+    def test_replay_reproduces_consolidation_tenants(self, workload):
+        """Solo runs of the steppable tenants replay to identical
+        metrics, switch-heavy and write-only streams included."""
+        source = System(sandy_bridge_config(mode="agile"))
+        records = record(workload, MachineAPI(source))
+        target = System(sandy_bridge_config(mode="agile"))
+        replay(records, MachineAPI(target))
+        assert (target.collect_metrics().to_dict()
+                == source.collect_metrics().to_dict())
+
+    def test_replay_batches_each_run_of_accesses(self):
+        """Consecutive ACCESS records go out as one access_many; any
+        other record ends the run."""
+        source = TraceRecorder(fresh_api())
+        source.spawn()
+        base = source.mmap(4 << 12)
+        source.write(base)
+        source.read(base + 4096)
+        source.start_measurement()
+        source.access(base + 8192, True)
+        calls = []
+
+        class CountingAPI(MachineAPI):
+            def access(self, va, is_write):
+                raise AssertionError("replay issued a per-op access")
+
+            def access_many(self, vas, writes=None):
+                calls.append((list(vas), list(writes)))
+                super().access_many(vas, writes)
+
+        replay(source.records, CountingAPI(System(sandy_bridge_config(
+            mode="native"))))
+        assert calls == [([base, base + 4096], [True, False]),
+                         ([base + 8192], [True])]
 
     def test_replay_detects_divergence(self):
         api = fresh_api()
