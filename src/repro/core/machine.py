@@ -9,7 +9,7 @@ the fault. It is the object workloads talk to.
 from itertools import repeat
 
 from repro.common.clock import Clock
-from repro.common.config import CORE_FASTPATH, CORE_REFERENCE, MODE_NATIVE, VALID_CORES
+from repro.common.config import MODE_NATIVE
 from repro.common.errors import (
     GuestPageFault,
     HostPageFault,
@@ -35,23 +35,6 @@ MAX_FAULT_RETRIES = 16
 
 class System(GuestPlatform):
     """A complete machine: hardware + guest OS (+ VMM when virtualized)."""
-
-    def __new__(cls, config, clock=None, host_mem=None):
-        # Core selection: ``System(config)`` transparently assembles the
-        # fastpath machine (repro.core.fastpath.FastSystem) when the
-        # config asks for it, so every existing call site honors the
-        # `core` key. Validate here too: configs built by other means
-        # than MachineConfig.__post_init__ must still fail loudly.
-        core = getattr(config, "core", CORE_REFERENCE)
-        if core not in VALID_CORES:
-            raise SimulationError(
-                "unknown simulation core: %r (valid cores: %s)"
-                % (core, ", ".join(VALID_CORES)))
-        if cls is System and core == CORE_FASTPATH:
-            from repro.core.fastpath import FastSystem
-
-            return super().__new__(FastSystem)
-        return super().__new__(cls)
 
     def __init__(self, config, clock=None, host_mem=None):
         """Assemble one machine.
@@ -110,8 +93,7 @@ class System(GuestPlatform):
         recorder into the policy epoch so sampling adds no per-op work.
         A metrics registry is threaded the same way (MMU and walker) and
         sampled at policy epochs for occupancy gauges; unlike a tracer it
-        does *not* disable the fastpath inline loop — the fast loop
-        attributes its own fallbacks to per-reason counters instead.
+        does *not* disable :meth:`access_many`'s inline loop.
         Idempotent; call any time after construction.
         """
         if tracer is not None:
@@ -243,8 +225,8 @@ class System(GuestPlatform):
         before every fallback and at the end. An op falls back to
         :meth:`access` on a TLB miss or write upgrade, and when it is
         the op that completes a policy epoch. The whole batch falls back
-        when a tracer is attached (it records every hit), when the
-        config has more than one TLB granule, and on the fastpath core.
+        when a tracer is attached (it records every hit) and when the
+        config has more than one TLB granule.
 
         The inline probe has no side effect until a clean hit is
         certain, so a fallback ``access`` redoes the op from scratch.
@@ -252,8 +234,7 @@ class System(GuestPlatform):
         ops = zip(vas, writes if writes is not None else repeat(False))
         hierarchy = self.mmu.hierarchy
         proc = self.kernel.current
-        if (proc is None or self.tracer.enabled or len(hierarchy._order) != 1
-                or self.config.core != CORE_REFERENCE):
+        if proc is None or self.tracer.enabled or len(hierarchy._order) != 1:
             access = self.access
             for va, is_write in ops:
                 access(va, is_write)

@@ -186,6 +186,29 @@ class RunMetrics:
         metrics.trap_cycles = dict(data["trap_cycles"])
         return metrics
 
+    def check(self):
+        """Raise ``ValueError`` unless the accounting identities hold:
+        cycle conservation (``total = ideal + walk + tlb_l2 + vmm +
+        guest_fault``), ``sum(trap_cycles) == vmm_cycles`` and
+        ``ops == reads + writes``.
+
+        ``from_dict`` checks only the wire format; this is what a
+        consumer of stored results calls to reject an entry that is
+        well formed but wrong.
+        """
+        parts = (self.ideal_cycles + self.walk_cycles + self.tlb_l2_cycles
+                 + self.vmm_cycles + self.guest_fault_cycles)
+        if self.total_cycles != parts:
+            raise ValueError("total_cycles %d != ideal + walk + tlb_l2 + vmm "
+                             "+ guest_fault = %d" % (self.total_cycles, parts))
+        traps = sum(self.trap_cycles.values())
+        if traps != self.vmm_cycles:
+            raise ValueError("sum(trap_cycles) %d != vmm_cycles %d"
+                             % (traps, self.vmm_cycles))
+        if self.ops != self.reads + self.writes:
+            raise ValueError("ops %d != reads %d + writes %d"
+                             % (self.ops, self.reads, self.writes))
+
     def summary(self):
         """A compact dict for reports and benchmarks."""
         return {

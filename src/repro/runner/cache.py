@@ -60,9 +60,10 @@ class ResultCache:
         """The cached :class:`RunMetrics` for ``spec``, or None on miss.
 
         Any defect in the entry — unreadable file, bad JSON, wrong
-        fingerprint or key, malformed metrics — deletes it and reports a
-        miss, so corruption degrades to recomputation, never to a crash
-        or a stale result.
+        fingerprint or key, malformed metrics, metrics that break an
+        accounting identity (:meth:`RunMetrics.check`) — deletes it and
+        reports a miss, so corruption degrades to recomputation, never
+        to a crash or a stale result.
         """
         path = self.entry_path(spec)
         try:
@@ -75,6 +76,7 @@ class ResultCache:
             if entry["cell_key"] != spec.cell_key():
                 raise ValueError("cell key mismatch")
             metrics = RunMetrics.from_dict(entry["metrics"])
+            metrics.check()
         except FileNotFoundError:
             self.misses += 1
             return None

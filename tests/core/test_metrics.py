@@ -103,3 +103,36 @@ class TestMixAndRatesSummary:
         assert summary["ops"] == 100
         assert summary["avg_refs_per_miss"] == 4.0
         assert summary["page_walk_overhead"] == 0.25
+
+
+class TestCheck:
+    @staticmethod
+    def conserved(**fields):
+        values = dict(ops=10, reads=6, writes=4, ideal_cycles=20,
+                      walk_cycles=80, tlb_l2_cycles=7, vmm_cycles=1200,
+                      guest_fault_cycles=500,
+                      trap_cycles={"pt_write": 1200})
+        values["total_cycles"] = (20 + 80 + 7 + 1200 + 500)
+        values.update(fields)
+        return make_metrics(**values)
+
+    def test_conserved_metrics_pass(self):
+        self.conserved().check()
+        make_metrics().check()
+
+    def test_real_run_passes(self):
+        from repro.core.simulator import run_workload
+        from repro.workloads.suite import McfLike
+
+        for mode in ("native", "shadow", "agile"):
+            run_workload(McfLike, seed=3, ops=3000, mode=mode).check()
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(walk_cycles=81), "total_cycles"),
+        (dict(total_cycles=1806), "total_cycles"),
+        (dict(trap_cycles={"pt_write": 1199}), "trap_cycles"),
+        (dict(reads=5), "ops"),
+    ])
+    def test_broken_identity_raises(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            self.conserved(**fields).check()

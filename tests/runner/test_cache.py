@@ -38,6 +38,7 @@ class TestCacheRoundTrip:
         assert [r.status for r in first] == [STATUS_OK]
         second = SweepRunner(cache=cache).run([tiny_cell()])
         assert [r.status for r in second] == [STATUS_CACHED]
+        assert cache.stats()["corrupt"] == 0  # clean entries pass check()
         assert (next(iter(second)).metrics.to_dict()
                 == next(iter(first)).metrics.to_dict())
 
@@ -90,6 +91,25 @@ class TestCorruptionRecovery:
             json.dump({"version": 1}, handle)
         assert cache.get(spec) is None
         assert not os.path.exists(cache.entry_path(spec))
+
+    def test_entry_breaking_cycle_conservation_is_corrupt(self, tmp_path):
+        """Well-formed JSON whose metrics fail RunMetrics.check() takes
+        the corrupt path: deleted, counted, and recomputed."""
+        cache = ResultCache(tmp_path)
+        spec = tiny_cell()
+        baseline = SweepRunner(cache=cache).run([spec])
+        with open(cache.entry_path(spec), encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["metrics"]["walk_cycles"] += 40
+        with open(cache.entry_path(spec), "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        assert cache.get(spec) is None
+        assert cache.stats()["corrupt"] == 1
+        assert not os.path.exists(cache.entry_path(spec))
+        rerun = SweepRunner(cache=cache).run([spec])
+        result = next(iter(rerun))
+        assert result.status == STATUS_OK
+        assert result.metrics.to_dict() == next(iter(baseline)).metrics.to_dict()
 
     def test_wrong_cell_key_in_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
